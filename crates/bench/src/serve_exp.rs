@@ -242,8 +242,8 @@ fn run_idle_heavy(opts: &E14Options) -> ServeRow {
 
     // Park the army: one real request each, then silence.
     let body = request_body(1);
-    let head = format!(
-        "POST /transform/flip HTTP/1.1\r\nHost: load\r\nContent-Length: {}\r\n\r\n",
+    let request = format!(
+        "POST /transform/flip HTTP/1.1\r\nHost: load\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     );
     let mut army = Vec::with_capacity(opts.idle_connections);
@@ -251,8 +251,7 @@ fn run_idle_heavy(opts: &E14Options) -> ServeRow {
         let mut conn = TcpStream::connect(client.addr()).expect("connect soldier");
         conn.set_read_timeout(Some(Duration::from_secs(30)))
             .expect("read timeout");
-        conn.write_all(head.as_bytes()).expect("write head");
-        conn.write_all(body.as_bytes()).expect("write body");
+        conn.write_all(request.as_bytes()).expect("write request");
         let resp = xtt_serve::http::read_response(&mut conn)
             .unwrap_or_else(|e| panic!("soldier {i}: {e}"));
         assert_eq!(resp.status, 200, "soldier {i} got {}", resp.status);
@@ -329,6 +328,9 @@ fn run_pipelined(opts: &E14Options) -> ServeRow {
             let mut conn = TcpStream::connect(addr).expect("connect pipeline");
             conn.set_read_timeout(Some(Duration::from_secs(30)))
                 .expect("read timeout");
+            // Back-to-back requests must not wait on the client's own
+            // Nagle hold: the bench measures the server.
+            conn.set_nodelay(true).expect("nodelay");
             let (mut errs, mut docs) = (0u64, 0u64);
             // The server answers pipelined batches back-to-back, so one
             // read can pull in the start of the next response: `carry`

@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 
 use xtt_obs::{EvalObserver, Stage};
 use xtt_transducer::{eval as walk_eval, Dtop};
-use xtt_trees::{parse_tree, DagId, Symbol, Tree, TreeDag, TreeEvent};
+use xtt_trees::{parse_tree_bounded, DagId, Symbol, Tree, TreeDag, TreeEvent};
 use xtt_typecheck::{domain_guard, CompiledDtta, TypeError};
 use xtt_unranked::{UnrankedError, UnrankedEvents, XmlCodec, XmlWriter};
 
@@ -514,17 +514,19 @@ impl Engine {
             None
         };
         let limit = self.opts.max_output_nodes;
-        let result = Worker::new().transform(
-            &compiled,
-            dtop,
-            doc,
-            mode,
-            &format,
-            limit,
-            guard.as_deref(),
-            &self.skips,
-            obs,
-        );
+        let result = Worker::new()
+            .transform(
+                &compiled,
+                dtop,
+                doc,
+                mode,
+                &format,
+                limit,
+                guard.as_deref(),
+                &self.skips,
+                obs,
+            )
+            .map_err(|e| name_unknown_token(e, doc, &format));
         if validate {
             self.record_validation(std::slice::from_ref(&result));
         }
@@ -643,16 +645,18 @@ impl Engine {
         } else {
             None
         };
-        let result = Worker::new().transform_streaming(
-            &[&*compiled],
-            doc,
-            &format,
-            guard.as_deref(),
-            self.opts.max_output_nodes,
-            out,
-            &self.skips,
-            obs,
-        );
+        let result = Worker::new()
+            .transform_streaming(
+                &[&*compiled],
+                doc,
+                &format,
+                guard.as_deref(),
+                self.opts.max_output_nodes,
+                out,
+                &self.skips,
+                obs,
+            )
+            .map_err(|e| name_unknown_token(e, doc, &format));
         if validate {
             self.record_validation(std::slice::from_ref(&result));
         }
@@ -914,16 +918,18 @@ impl Engine {
     ) -> Result<StreamOutcome, EngineError> {
         let refs: Vec<&CompiledDtop> = stages.iter().map(|s| &*s.compiled).collect();
         let mut worker = Worker::new();
-        let result = worker.transform_streaming(
-            &refs,
-            doc,
-            &format,
-            guard,
-            self.opts.max_output_nodes,
-            out,
-            &self.skips,
-            None,
-        );
+        let result = worker
+            .transform_streaming(
+                &refs,
+                doc,
+                &format,
+                guard,
+                self.opts.max_output_nodes,
+                out,
+                &self.skips,
+                None,
+            )
+            .map_err(|e| name_unknown_token(e, doc, &format));
         if let (Ok(outcome), Some(cb)) = (&result, stage_events) {
             if refs.len() > 1 {
                 for (i, st) in worker.chain.stage_stats().enumerate() {
@@ -1394,6 +1400,7 @@ impl Worker {
     ) -> Result<String, EngineError> {
         let result = catch_unwind(AssertUnwindSafe(|| {
             self.transform(compiled, dtop, doc, mode, format, limit, guard, skips, obs)
+                .map_err(|e| name_unknown_token(e, doc, format))
         }));
         result.unwrap_or_else(|panic| {
             *self = Worker::new();
@@ -1422,7 +1429,7 @@ impl Worker {
         let obs = &mut obs;
         match format {
             DocFormat::Term => {
-                let input = parse_tree(doc).map_err(|e| EngineError::Parse(e.to_string()))?;
+                let input = parse_term(doc)?;
                 stamp(obs, Stage::Tokenize);
                 if let Some(g) = guard {
                     if mode == EvalMode::Streaming && limit.is_none() {
@@ -1590,7 +1597,7 @@ impl Worker {
         let obs = &mut obs;
         match format {
             DocFormat::Term => {
-                let input = parse_tree(doc).map_err(|e| EngineError::Parse(e.to_string()))?;
+                let input = parse_term(doc)?;
                 stamp(obs, Stage::Tokenize);
                 let mut source = IterEvents(input.events());
                 let mut sink = TermSink::new(out);
@@ -1782,6 +1789,7 @@ impl Worker {
     ) -> Result<String, EngineError> {
         let result = catch_unwind(AssertUnwindSafe(|| {
             self.transform_chain(stages, doc, mode, format, limit, guard, skips, stage_events)
+                .map_err(|e| name_unknown_token(e, doc, format))
         }));
         result.unwrap_or_else(|panic| {
             *self = Worker::new();
@@ -1821,7 +1829,7 @@ impl Worker {
             // tokenizer exactly like the single-transducer path.
             let output = match format {
                 DocFormat::Term => {
-                    let input = parse_tree(doc).map_err(|e| EngineError::Parse(e.to_string()))?;
+                    let input = parse_term(doc)?;
                     self.eval_chain_collect(stages, guard, &mut IterEvents(input.events()))?
                         .ok_or(EngineError::Undefined)?
                 }
@@ -1909,12 +1917,55 @@ impl Worker {
     }
 }
 
+/// Parses a term-syntax document without interning: names outside every
+/// registered alphabet become [`unknown_symbol`], exactly as on the XML
+/// paths, so untrusted documents cannot grow the symbol table.
+fn parse_term(doc: &str) -> Result<Tree, EngineError> {
+    parse_tree_bounded(doc, crate::stream::unknown_symbol())
+        .map_err(|e| EngineError::Parse(e.to_string()))
+}
+
+/// Names the token behind a type error on an out-of-vocabulary node.
+/// The bounded readers map every never-interned name to
+/// [`unknown_symbol`], so such a violation would name the sentinel; this
+/// re-reads the document (on this error path only, without interning)
+/// and attaches the token as written. Term and ranked-XML diagnostics
+/// therefore name the same token the interning readers would have;
+/// encoded formats keep the sentinel.
+fn name_unknown_token(err: EngineError, doc: &str, format: &DocFormat) -> EngineError {
+    match err {
+        EngineError::Type(TypeError::Symbol {
+            path,
+            state,
+            symbol,
+            token: None,
+        }) if symbol == crate::stream::unknown_symbol() => {
+            let token = match format {
+                DocFormat::Term => xtt_trees::name_at(doc, &path),
+                DocFormat::Xml | DocFormat::XmlAttrs => crate::stream::xml_unknown_token_at(
+                    doc,
+                    matches!(format, DocFormat::XmlAttrs),
+                    &path,
+                ),
+                DocFormat::Encoded(_) => None,
+            };
+            EngineError::Type(TypeError::Symbol {
+                path,
+                state,
+                symbol,
+                token: token.map(String::into_boxed_str),
+            })
+        }
+        other => other,
+    }
+}
+
 /// Parses one document into a ranked input tree per the format — the
 /// materialized half of the chain execution paths (the single-transducer
 /// paths keep their fused parse-and-stamp arms).
 fn parse_input(format: &DocFormat, doc: &str) -> Result<xtt_trees::Tree, EngineError> {
     match format {
-        DocFormat::Term => parse_tree(doc).map_err(|e| EngineError::Parse(e.to_string())),
+        DocFormat::Term => parse_term(doc),
         DocFormat::Xml | DocFormat::XmlAttrs => XmlRankedEvents::bounded(doc)
             .attributes(matches!(format, DocFormat::XmlAttrs))
             .collect_tree()
@@ -1956,6 +2007,7 @@ fn render_output(format: &DocFormat, output: &xtt_trees::Tree) -> Result<String,
 mod tests {
     use super::*;
     use xtt_transducer::examples;
+    use xtt_trees::parse_tree;
 
     fn flip_docs(n: usize) -> Vec<String> {
         (0..n)

@@ -25,7 +25,7 @@
 use std::collections::VecDeque;
 use std::io;
 
-use xtt_trees::{tree_from_events, Symbol, Tree, TreeEvent};
+use xtt_trees::{tree_from_events, NodePath, Symbol, Tree, TreeEvent};
 use xtt_typecheck::{CompiledDtta, DttaRun, TypeError};
 use xtt_xml::{xml_events, XmlError, XmlEvent, XmlEventReader};
 
@@ -98,6 +98,9 @@ pub struct XmlRankedEvents<'a> {
     error: Option<XmlError>,
     last: LastOpen,
     skipped_subtrees: u64,
+    /// When set (diagnostics only), every name the bounded resolution
+    /// mapped to [`unknown_symbol`], in delivery order.
+    unknown_names: Option<Vec<String>>,
 }
 
 impl<'a> XmlRankedEvents<'a> {
@@ -111,6 +114,7 @@ impl<'a> XmlRankedEvents<'a> {
             error: None,
             last: LastOpen::Other,
             skipped_subtrees: 0,
+            unknown_names: None,
         }
     }
 
@@ -134,12 +138,19 @@ impl<'a> XmlRankedEvents<'a> {
         self
     }
 
-    fn resolve(&self, name: &str) -> Symbol {
-        if self.bounded {
-            Symbol::lookup(name).unwrap_or_else(unknown_symbol)
-        } else {
-            Symbol::new(name)
+    /// Names are resolved in delivery order (an element's own name before
+    /// its queued attribute block), which is what lets
+    /// [`xml_unknown_token_at`] pair sentinels with recorded names.
+    fn resolve(&mut self, name: &str) -> Symbol {
+        if !self.bounded {
+            return Symbol::new(name);
         }
+        Symbol::lookup(name).unwrap_or_else(|| {
+            if let Some(names) = &mut self.unknown_names {
+                names.push(name.to_owned());
+            }
+            unknown_symbol()
+        })
     }
 
     /// The tokenizer (or fast-forward) error, if one ended the stream.
@@ -189,11 +200,12 @@ impl TreeEventSource for XmlRankedEvents<'_> {
                     return None;
                 }
                 Ok(XmlEvent::Start { name, attrs }) => {
+                    let element = self.resolve(name);
                     if self.attrs && !attrs.is_empty() {
                         // Queued behind the element's own Open, so a skip
                         // at the element level discards them with it.
-                        self.queue
-                            .push_back(TreeEvent::Open(self.resolve("@attrs")));
+                        let block = self.resolve("@attrs");
+                        self.queue.push_back(TreeEvent::Open(block));
                         for a in &attrs {
                             let slot = self.resolve(&format!("@{}", a.name));
                             self.queue.push_back(TreeEvent::Open(slot));
@@ -207,7 +219,7 @@ impl TreeEventSource for XmlRankedEvents<'_> {
                         self.queue.push_back(TreeEvent::Close);
                     }
                     self.last = LastOpen::Element;
-                    return Some(TreeEvent::Open(self.resolve(name)));
+                    return Some(TreeEvent::Open(element));
                 }
                 Ok(XmlEvent::End(_)) => {
                     self.last = LastOpen::Other;
@@ -1338,7 +1350,51 @@ impl Iterator for RankedEventsIter<'_> {
 /// adapters. Starts with a control character, so no declarable alphabet
 /// symbol can collide with it.
 pub fn unknown_symbol() -> Symbol {
-    Symbol::new("\u{1}xtt:unknown")
+    static UNKNOWN: std::sync::OnceLock<Symbol> = std::sync::OnceLock::new();
+    *UNKNOWN.get_or_init(|| Symbol::new("\u{1}xtt:unknown"))
+}
+
+/// The out-of-vocabulary name at `path` of a ranked-XML document, as
+/// written — the XML counterpart of [`xtt_trees::name_at`] for
+/// diagnostics. Re-reads the document through the bounded adapter with
+/// name recording on, and pairs the sentinel Opens (in delivery order)
+/// with the recorded names. `None` if the node there is not out of
+/// vocabulary or does not exist.
+pub fn xml_unknown_token_at(xml: &str, attributes: bool, path: &NodePath) -> Option<String> {
+    let mut source = XmlRankedEvents::bounded(xml).attributes(attributes);
+    source.unknown_names = Some(Vec::new());
+    let sentinel = unknown_symbol();
+    let target = path.indices();
+    // `at` is the current node's path; `next` the next child index of
+    // every open node.
+    let mut at: Vec<u32> = Vec::new();
+    let mut next: Vec<u32> = Vec::new();
+    let mut unknown_seen = 0usize;
+    while let Some(event) = source.next_event() {
+        match event {
+            TreeEvent::Open(sym) => {
+                if let Some(i) = next.last_mut() {
+                    at.push(*i);
+                    *i += 1;
+                }
+                next.push(0);
+                if sym == sentinel {
+                    unknown_seen += 1;
+                }
+                if at == target {
+                    if sym != sentinel {
+                        return None;
+                    }
+                    return source.unknown_names?.get(unknown_seen - 1).cloned();
+                }
+            }
+            TreeEvent::Close => {
+                next.pop();
+                at.pop();
+            }
+        }
+    }
+    None
 }
 
 /// Maps an XML event stream to ranked-tree events: elements become

@@ -22,6 +22,8 @@
 //! * [`read_ready`] / [`write_ready`] — nonblocking I/O helpers that
 //!   fold `EINTR` retries and map `EWOULDBLOCK` and clean EOF into a
 //!   typed outcome instead of an `io::Error` the caller has to sniff.
+//! * [`connect_narrow`] — a client socket with a deliberately small
+//!   receive window, for tests that need guaranteed backpressure.
 //!
 //! Platform scope: the epoll backend is Linux; on other Unix platforms
 //! the crate compiles but [`Poller::new`] answers
@@ -36,7 +38,7 @@ mod waker;
 pub use poller::{Event, Interest, Poller};
 pub use waker::Waker;
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Flips `O_NONBLOCK` on a raw descriptor via `fcntl` — for descriptors
 /// that are not `std::net` sockets (inherited fds, pipes), where
@@ -93,18 +95,79 @@ pub enum WriteOutcome {
     WouldBlock,
 }
 
-/// One nonblocking write from `buf`, with `EINTR` folded away and
-/// `WouldBlock` surfaced as a value. A hard error (`EPIPE`,
-/// `ECONNRESET`, …) stays an `Err` — the connection is gone.
-pub fn write_ready(stream: &mut impl Write, buf: &[u8]) -> io::Result<WriteOutcome> {
+/// One nonblocking gathering write from `bufs` (one `writev`, so a
+/// buffer split in two still leaves in a single syscall), with `EINTR`
+/// folded away and `WouldBlock` surfaced as a value. A hard error
+/// (`EPIPE`, `ECONNRESET`, …) stays an `Err` — the connection is gone.
+pub fn write_ready(stream: &mut impl Write, bufs: &[IoSlice<'_>]) -> io::Result<WriteOutcome> {
     loop {
-        match stream.write(buf) {
+        match stream.write_vectored(bufs) {
             Ok(n) => return Ok(WriteOutcome::Wrote(n)),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(WriteOutcome::WouldBlock),
             Err(e) => return Err(e),
         }
     }
+}
+
+/// Connects a blocking IPv4 TCP socket whose receive side is narrow
+/// from the first byte: `SO_RCVBUF` and `TCP_MAXSEG` are set *before*
+/// the handshake (`std`'s `TcpStream::connect` offers no hook between
+/// `socket` and `connect`). The small advertised segment size also keeps
+/// the peer's autotuned send buffer small, so once this client stops
+/// reading, the peer's writes block after a few tens of KB instead of
+/// the megabytes a loopback connection otherwise absorbs — a
+/// deterministic slow reader for flow-control tests.
+#[cfg(target_os = "linux")]
+pub fn connect_narrow(
+    addr: std::net::SocketAddrV4,
+    rcvbuf: u32,
+    mss: u32,
+) -> io::Result<std::net::TcpStream> {
+    use std::os::unix::io::{FromRawFd, OwnedFd, RawFd};
+
+    fn set_int(fd: RawFd, level: i32, name: i32, value: u32) -> io::Result<()> {
+        let value = value as i32;
+        let rc = unsafe {
+            sys::setsockopt(
+                fd,
+                level,
+                name,
+                &value as *const i32 as *const std::os::raw::c_void,
+                std::mem::size_of::<i32>() as u32,
+            )
+        };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    let raw = unsafe { sys::socket(sys::AF_INET, sys::SOCK_STREAM | sys::SOCK_CLOEXEC, 0) };
+    if raw < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // Owned from here on: every early return closes the descriptor.
+    let fd = unsafe { OwnedFd::from_raw_fd(raw) };
+    set_int(raw, sys::SOL_SOCKET, sys::SO_RCVBUF, rcvbuf)?;
+    set_int(raw, sys::IPPROTO_TCP, sys::TCP_MAXSEG, mss)?;
+    let sockaddr = sys::SockaddrIn {
+        sin_family: sys::AF_INET as u16,
+        sin_port: addr.port().to_be(),
+        sin_addr: u32::from(*addr.ip()).to_be(),
+        sin_zero: [0; 8],
+    };
+    let rc = unsafe {
+        sys::connect(
+            raw,
+            &sockaddr,
+            std::mem::size_of::<sys::SockaddrIn>() as u32,
+        )
+    };
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(std::net::TcpStream::from(fd))
 }
 
 #[cfg(all(test, target_os = "linux"))]
@@ -226,9 +289,33 @@ mod tests {
         let (mut a, _b) = pair();
         let chunk = [0u8; 64 * 1024];
         let mut total = 0usize;
-        while let WriteOutcome::Wrote(n) = write_ready(&mut a, &chunk).unwrap() {
+        while let WriteOutcome::Wrote(n) = write_ready(&mut a, &[IoSlice::new(&chunk)]).unwrap() {
             total += n;
             assert!(total < 1 << 30, "socket buffer never filled");
+        }
+        assert!(total > 0);
+    }
+
+    #[test]
+    fn narrow_connection_backs_up_its_peer_within_a_bounded_amount() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let std::net::SocketAddr::V4(addr) = listener.local_addr().unwrap() else {
+            unreachable!("bound an IPv4 address")
+        };
+        let _client = connect_narrow(addr, 1024, 536).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let chunk = [0u8; 4096];
+        let mut total = 0usize;
+        // Let a few ACK rounds pass so send-buffer autotuning has its say.
+        for _ in 0..10 {
+            while let WriteOutcome::Wrote(n) =
+                write_ready(&mut server, &[IoSlice::new(&chunk)]).unwrap()
+            {
+                total += n;
+                assert!(total < 1 << 20, "a narrow reader absorbed {total} bytes");
+            }
+            std::thread::sleep(Duration::from_millis(10));
         }
         assert!(total > 0);
     }

@@ -28,6 +28,23 @@ pub const O_CLOEXEC: c_int = 0o2000000;
 pub const F_GETFL: c_int = 3;
 pub const F_SETFL: c_int = 4;
 
+pub const AF_INET: c_int = 2;
+pub const SOCK_STREAM: c_int = 1;
+pub const SOCK_CLOEXEC: c_int = 0o2000000;
+pub const SOL_SOCKET: c_int = 1;
+pub const SO_RCVBUF: c_int = 8;
+pub const IPPROTO_TCP: c_int = 6;
+pub const TCP_MAXSEG: c_int = 2;
+
+/// `struct sockaddr_in`; port and address in network byte order.
+#[repr(C)]
+pub struct SockaddrIn {
+    pub sin_family: u16,
+    pub sin_port: u16,
+    pub sin_addr: u32,
+    pub sin_zero: [u8; 8],
+}
+
 /// `struct epoll_event`. The kernel ABI packs it on x86-64 (12 bytes);
 /// other architectures use natural alignment (16 bytes) — mirroring
 /// glibc's `__attribute__((packed))` arrangement.
@@ -56,4 +73,13 @@ extern "C" {
     pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
     pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+    pub fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+    pub fn setsockopt(
+        fd: c_int,
+        level: c_int,
+        name: c_int,
+        value: *const c_void,
+        len: u32,
+    ) -> c_int;
+    pub fn connect(fd: c_int, addr: *const SockaddrIn, len: u32) -> c_int;
 }

@@ -2,6 +2,10 @@
 //! `xtt-serve` over a real socket. This is first-class test support: the
 //! integration tests, the examples, and the CI smoke script all use it
 //! instead of shelling out to curl.
+//!
+//! Like curl, every request leaves in one `write_all` (head and body
+//! together) on a `TCP_NODELAY` socket, so latency measured through this
+//! client is the server's, not the client's own Nagle stall.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -39,6 +43,14 @@ impl ServeClient {
         self.addr
     }
 
+    fn connect(&self) -> io::Result<TcpStream> {
+        let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
+        stream.set_read_timeout(Some(self.timeout))?;
+        stream.set_write_timeout(Some(self.timeout))?;
+        stream.set_nodelay(true)?;
+        Ok(stream)
+    }
+
     /// Sends one request with a `Transfer-Encoding: chunked` body — a
     /// streamed upload. `chunks` become one wire chunk each.
     pub fn request_chunked(
@@ -47,38 +59,23 @@ impl ServeClient {
         target: &str,
         chunks: &[&str],
     ) -> io::Result<Response> {
-        let mut stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        let head = format!(
+        let mut stream = self.connect()?;
+        let mut wire = format!(
             "{method} {target} HTTP/1.1\r\nHost: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             self.addr,
         );
-        stream.write_all(head.as_bytes())?;
         for chunk in chunks.iter().filter(|c| !c.is_empty()) {
-            stream.write_all(format!("{:x}\r\n", chunk.len()).as_bytes())?;
-            stream.write_all(chunk.as_bytes())?;
-            stream.write_all(b"\r\n")?;
+            wire.push_str(&format!("{:x}\r\n{chunk}\r\n", chunk.len()));
         }
-        stream.write_all(b"0\r\n\r\n")?;
-        stream.flush()?;
-        read_response(&mut stream).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        wire.push_str("0\r\n\r\n");
+        exchange(&mut stream, wire.into_bytes())
     }
 
     /// Sends one request; `target` includes the query string.
     pub fn request(&self, method: &str, target: &str, body: &str) -> io::Result<Response> {
-        let mut stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        let head = format!(
-            "{method} {target} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            self.addr,
-            body.len()
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
-        stream.flush()?;
-        read_response(&mut stream).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        let mut stream = self.connect()?;
+        let wire = request_bytes(self.addr, method, target, body, "Connection: close\r\n");
+        exchange(&mut stream, wire)
     }
 
     /// `GET /healthz` → true iff the server answers 200.
@@ -149,14 +146,29 @@ impl ServeClient {
     /// Opens a persistent (keep-alive) session: one connection, many
     /// requests.
     pub fn session(&self) -> io::Result<ServeSession> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
         Ok(ServeSession {
             addr: self.addr,
-            stream,
+            stream: self.connect()?,
         })
     }
+}
+
+/// A `Content-Length` request, head and body in one buffer; `extra` is
+/// spliced in as additional header lines.
+fn request_bytes(addr: SocketAddr, method: &str, target: &str, body: &str, extra: &str) -> Vec<u8> {
+    let mut wire = format!(
+        "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n{extra}\r\n",
+        body.len()
+    )
+    .into_bytes();
+    wire.extend_from_slice(body.as_bytes());
+    wire
+}
+
+/// Sends a whole request in one `write_all` and reads the response.
+fn exchange(stream: &mut TcpStream, wire: Vec<u8>) -> io::Result<Response> {
+    stream.write_all(&wire)?;
+    read_response(stream).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// A keep-alive client session: requests share one TCP connection until
@@ -170,15 +182,8 @@ pub struct ServeSession {
 impl ServeSession {
     /// Sends one request on the shared connection.
     pub fn request(&mut self, method: &str, target: &str, body: &str) -> io::Result<Response> {
-        let head = format!(
-            "{method} {target} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n\r\n",
-            self.addr,
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
-        self.stream.flush()?;
-        read_response(&mut self.stream).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        let wire = request_bytes(self.addr, method, target, body, "");
+        exchange(&mut self.stream, wire)
     }
 
     /// Sends a request with an explicit `Connection: close`, asking the
@@ -189,14 +194,7 @@ impl ServeSession {
         target: &str,
         body: &str,
     ) -> io::Result<Response> {
-        let head = format!(
-            "{method} {target} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            self.addr,
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
-        self.stream.flush()?;
-        read_response(&mut self.stream).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        let wire = request_bytes(self.addr, method, target, body, "Connection: close\r\n");
+        exchange(&mut self.stream, wire)
     }
 }

@@ -170,6 +170,10 @@ impl Loop<'_> {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    // Responses leave as whole flush-point buffers, so
+                    // Nagle has nothing to coalesce — it would only hold
+                    // each response's tail until the client's delayed ACK.
+                    let _ = stream.set_nodelay(true);
                     let idx = self.free.pop().unwrap_or_else(|| {
                         self.conns.push(None);
                         self.conns.len() - 1
@@ -472,7 +476,8 @@ impl Loop<'_> {
             if backlog == 0 {
                 Ok(Drained::Empty)
             } else {
-                conn.out.drain_to(&mut conn.stream)
+                conn.out
+                    .drain_to(&mut conn.stream, &self.shared.stats.socket_writes)
             }
         };
         match result {

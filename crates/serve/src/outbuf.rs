@@ -4,6 +4,10 @@
 //! A worker produces response bytes into an [`Outbuf`] through a
 //! [`ConnWriter`]; the event loop drains the buffer to the socket with
 //! nonblocking writes whenever the connection reports writability. The
+//! writer stages bytes worker-locally and publishes them in one push per
+//! *flush point* (response end, each streamed chunk, a doc-boundary
+//! yield, or a full staging buffer), so a small response reaches the
+//! socket as one write instead of a head/body/framing trickle. The
 //! buffer is the *only* coupling between the two sides:
 //!
 //! * A full buffer blocks the worker on a condvar — but never past the
@@ -19,12 +23,13 @@
 //!   level-triggered `EPOLLOUT` keeps the drain going.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use xtt_netio::{write_ready, Waker, WriteOutcome};
+use xtt_obs::Counter;
 
 struct OutState {
     buf: VecDeque<u8>,
@@ -162,19 +167,22 @@ impl Outbuf {
     }
 
     /// Event-loop-side drain: nonblocking writes to the socket until the
-    /// buffer empties or the socket stops accepting. Progress updates the
-    /// stall clock and wakes blocked workers; a hard write error aborts
-    /// the buffer and surfaces to the caller (close the connection).
-    pub fn drain_to(&self, stream: &mut TcpStream) -> io::Result<Drained> {
+    /// buffer empties or the socket stops accepting. Both halves of the
+    /// ring go out in one gathering write; each successful write counts
+    /// in `writes`. Progress updates the stall clock and wakes blocked
+    /// workers; a hard write error aborts the buffer and surfaces to the
+    /// caller (close the connection).
+    pub fn drain_to(&self, stream: &mut TcpStream, writes: &Counter) -> io::Result<Drained> {
         let mut st = self.lock();
         let mut progressed = false;
         while !st.buf.is_empty() {
             let wrote = {
-                let (front, _) = st.buf.as_slices();
-                write_ready(stream, front)
+                let (front, back) = st.buf.as_slices();
+                write_ready(stream, &[IoSlice::new(front), IoSlice::new(back)])
             };
             match wrote {
                 Ok(WriteOutcome::Wrote(n)) => {
+                    writes.inc();
                     st.buf.drain(..n);
                     progressed = true;
                 }
@@ -205,11 +213,15 @@ impl Outbuf {
 /// The worker's view of a connection: an `io::Write` over the [`Outbuf`],
 /// carrying the idle-progress deadline for this response. Handlers and
 /// the engine's streaming sink write here exactly as they used to write
-/// to the `TcpStream`.
+/// to the `TcpStream`. Writes are staged locally; `flush` publishes them
+/// to the [`Outbuf`] in one push (one lock, at most one wake). Staging
+/// never holds more than the buffer's capacity: reaching it publishes,
+/// so the capacity bound and the idle-progress deadline still apply.
 pub(crate) struct ConnWriter<'a> {
     out: &'a Outbuf,
     waker: &'a Waker,
     deadline: Duration,
+    staged: Vec<u8>,
 }
 
 impl<'a> ConnWriter<'a> {
@@ -218,6 +230,7 @@ impl<'a> ConnWriter<'a> {
             out,
             waker,
             deadline,
+            staged: Vec::new(),
         }
     }
 
@@ -227,10 +240,10 @@ impl<'a> ConnWriter<'a> {
         self.deadline = deadline;
     }
 
-    /// Bytes currently buffered and not yet on the wire — the stream
+    /// Bytes staged or buffered and not yet on the wire — the stream
     /// jobs' doc-boundary yield decision reads this.
     pub fn backlog(&self) -> usize {
-        self.out.len()
+        self.out.len() + self.staged.len()
     }
 
     pub fn buffer_capacity(&self) -> usize {
@@ -240,13 +253,28 @@ impl<'a> ConnWriter<'a> {
 
 impl Write for ConnWriter<'_> {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.out.push(data, self.deadline, self.waker)?;
+        let capacity = self.out.capacity();
+        if self.staged.len() + data.len() > capacity {
+            self.flush()?;
+        }
+        if data.len() >= capacity {
+            // As large as the bound on its own: hand it straight over.
+            self.out.push(data, self.deadline, self.waker)?;
+        } else {
+            self.staged.extend_from_slice(data);
+            if self.staged.len() >= capacity {
+                self.flush()?;
+            }
+        }
         Ok(data.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        // Bytes are visible to the event loop the moment they land in the
-        // buffer; there is nothing further to force.
+        if !self.staged.is_empty() {
+            let pushed = self.out.push(&self.staged, self.deadline, self.waker);
+            self.staged.clear();
+            pushed?;
+        }
         Ok(())
     }
 }
@@ -270,11 +298,69 @@ mod tests {
         let mut a = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (_b, _) = listener.accept().unwrap();
         a.set_nonblocking(true).unwrap();
+        let writes = Counter::new();
         while out.len() > 0 || !producer.is_finished() {
-            out.drain_to(&mut a).unwrap();
+            out.drain_to(&mut a, &writes).unwrap();
             std::thread::sleep(Duration::from_millis(5));
         }
         producer.join().unwrap().unwrap();
+        assert!(writes.get() >= 2, "the payload needed several drains");
+    }
+
+    #[test]
+    fn conn_writer_publishes_only_at_flush_points() {
+        let out = Outbuf::new(64);
+        let waker = Waker::new().unwrap();
+        let mut w = ConnWriter::new(&out, &waker, Duration::from_secs(1));
+        w.write_all(b"head\r\n").unwrap();
+        w.write_all(b"body").unwrap();
+        assert_eq!(out.len(), 0, "nothing published before a flush");
+        assert_eq!(w.backlog(), 10, "staged bytes count as backlog");
+        w.flush().unwrap();
+        assert_eq!(out.len(), 10);
+        assert_eq!(w.backlog(), 10);
+
+        // Staging never outgrows the capacity: a write that would
+        // overflow it publishes what is staged first, and reaching it
+        // publishes without an explicit flush.
+        let out = Outbuf::new(8);
+        let mut w = ConnWriter::new(&out, &waker, Duration::from_secs(1));
+        w.write_all(b"12345").unwrap();
+        w.write_all(b"6789").unwrap();
+        assert_eq!(out.len(), 5, "the staged bytes went out to make room");
+        assert_eq!(w.backlog(), 9);
+
+        let out = Outbuf::new(8);
+        let mut w = ConnWriter::new(&out, &waker, Duration::from_secs(1));
+        w.write_all(b"1234").unwrap();
+        w.write_all(b"5678").unwrap();
+        assert_eq!(out.len(), 8, "a full staging buffer publishes");
+    }
+
+    #[test]
+    fn drain_sends_a_wrapped_ring_in_one_write() {
+        let out = Outbuf::new(64);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut a = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut b, _) = listener.accept().unwrap();
+        a.set_nonblocking(true).unwrap();
+        // Rotate the ring one byte at a time until its contents wrap
+        // around the end of the deque's storage.
+        let expected: Vec<u8> = {
+            let mut st = out.lock();
+            st.buf.extend(b"0123456789abcdef");
+            while st.buf.as_slices().1.is_empty() {
+                let c = st.buf.pop_front().unwrap();
+                st.buf.push_back(c);
+            }
+            st.buf.iter().copied().collect()
+        };
+        let writes = Counter::new();
+        out.drain_to(&mut a, &writes).unwrap();
+        assert_eq!(writes.get(), 1, "both halves in one write");
+        let mut got = vec![0u8; expected.len()];
+        std::io::Read::read_exact(&mut b, &mut got).unwrap();
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -410,7 +410,7 @@ fn worker_loop(shared: &Shared) {
                 let mut w = ConnWriter::new(&out, &shared.waker, shared.opts.io_timeout);
                 let result =
                     catch_unwind(AssertUnwindSafe(|| route(shared, &request, &mut w, keep)));
-                let disposition = match result {
+                let disposition = match publish(result, &mut w) {
                     Ok(Ok(RouteStep::Done { keep })) => Disposition::Finish { keep },
                     Ok(Ok(RouteStep::Yield(job))) => Disposition::Yield { job },
                     Ok(Err(_)) => Disposition::Abort,
@@ -433,7 +433,7 @@ fn worker_loop(shared: &Shared) {
             Job::Resume { token, job, out } => {
                 let mut w = ConnWriter::new(&out, &shared.waker, shared.opts.stream_write_deadline);
                 let result = catch_unwind(AssertUnwindSafe(|| run_stream_job(shared, job, &mut w)));
-                let disposition = match result {
+                let disposition = match publish(result, &mut w) {
                     Ok(Ok(RouteStep::Done { keep })) => Disposition::Finish { keep },
                     Ok(Ok(RouteStep::Yield(job))) => Disposition::Yield { job },
                     Ok(Err(_)) => Disposition::Abort,
@@ -452,6 +452,20 @@ fn worker_loop(shared: &Shared) {
             shared.queue.hold();
         }
         shared.push_done(Done { token, disposition });
+    }
+}
+
+/// The worker loop's last flush point: whatever a handler staged but did
+/// not flush reaches the output buffer before the event loop learns the
+/// disposition, so no path can strand bytes. A failed publish turns a
+/// handler's success into an abort.
+fn publish<T>(
+    result: std::thread::Result<io::Result<T>>,
+    w: &mut ConnWriter<'_>,
+) -> std::thread::Result<io::Result<T>> {
+    match result {
+        Ok(Ok(step)) => Ok(io::Write::flush(w).map(|()| step)),
+        other => other,
     }
 }
 
@@ -1202,6 +1216,9 @@ fn stream_job_step(
         // Doc-boundary yield: a backed-up client keeps its connection
         // parked in the event loop instead of this worker thread.
         if job.next < job.docs.len() && w.backlog() > w.buffer_capacity() / 2 {
+            // Publish before parking: the event loop can only drain (and
+            // resume on) bytes that are in the buffer.
+            io::Write::flush(w)?;
             shared.stats.slow_client_yields.inc();
             return Ok(false);
         }
@@ -1223,7 +1240,9 @@ const STREAM_CHUNK: usize = 4096;
 /// HTTP chunks (an explicit `flush` drains the remainder at document
 /// end) and counts the bytes each document produced, so the stats and
 /// the `!error:` line separator know whether a partial prefix is on the
-/// wire.
+/// wire. Every chunk is a flush point: it is published to the
+/// connection's output buffer at once, so committed output reaches the
+/// client while the document is still being evaluated.
 struct CountingWriter<'a, 'b> {
     inner: &'a mut ChunkedWriter<'b>,
     buf: Vec<u8>,
@@ -1245,7 +1264,7 @@ impl io::Write for CountingWriter<'_, '_> {
             self.inner.chunk(&self.buf)?;
             self.buf.clear();
         }
-        Ok(())
+        self.inner.flush()
     }
 }
 

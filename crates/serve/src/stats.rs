@@ -146,6 +146,9 @@ pub struct ServerStats {
     pub epoll_waits: Arc<Gauge>,
     /// Largest per-connection output backlog ever observed, in bytes.
     pub outbuf_highwater: Arc<Gauge>,
+    /// Successful socket write syscalls (one per `writev` in the drain).
+    /// Equal to the response count when small responses leave whole.
+    pub socket_writes: Arc<Counter>,
     /// Jobs handed from the event loop to the worker pool (fresh
     /// requests and resumed stream jobs).
     pub worker_handoffs: Arc<Counter>,
@@ -189,6 +192,7 @@ pub struct ServerStats {
     ext_queue_capacity: Arc<Gauge>,
     ext_uptime_seconds: Arc<Gauge>,
     ext_started_at: Arc<Gauge>,
+    ext_interner_symbols: Arc<Gauge>,
 }
 
 impl Default for ServerStats {
@@ -282,6 +286,10 @@ impl ServerStats {
                 "xtt_outbuf_highwater_bytes",
                 "Largest per-connection output backlog ever observed.",
             ),
+            socket_writes: c(
+                "xtt_socket_writes_total",
+                "Successful socket write syscalls draining response bytes.",
+            ),
             worker_handoffs: c(
                 "xtt_worker_handoffs_total",
                 "Jobs handed from the event loop to the worker pool.",
@@ -348,6 +356,10 @@ impl ServerStats {
             ext_started_at: g(
                 "xtt_started_at_seconds",
                 "Unix timestamp of the server start.",
+            ),
+            ext_interner_symbols: g(
+                "xtt_interner_symbols",
+                "Symbols in the process-global interner (flat under untrusted documents).",
             ),
             metrics: reg,
         };
@@ -456,6 +468,8 @@ impl ServerStats {
         self.ext_plan_cache_entries.set(plan_cache.entries as u64);
         self.ext_queue_capacity.set(capacity as u64);
         self.ext_uptime_seconds.set(self.uptime_seconds());
+        self.ext_interner_symbols
+            .set(xtt_trees::Symbol::interned_count() as u64);
     }
 
     /// Renders the `/stats` snapshot, splicing in the engine cache and
@@ -491,9 +505,10 @@ impl ServerStats {
              \"validation\":{{\"docs_validated\":{},\"docs_rejected_pre_eval\":{},\"guards_compiled\":{}}},\
              \"typecheck\":{{\"runs\":{},\"ill_typed\":{}}},\
              \"streaming\":{{\"docs_streamed\":{},\"bytes_flushed_early\":{},\"write_timeouts\":{}}},\
-             \"event_loop\":{{\"connections_open\":{},\"parked_idle\":{},\"epoll_wakeups\":{},\"worker_handoffs\":{},\"slow_client_yields\":{},\"epoll_wait_nanos\":{},\"epoll_waits\":{},\"outbuf_highwater_bytes\":{}}},\
+             \"event_loop\":{{\"connections_open\":{},\"parked_idle\":{},\"epoll_wakeups\":{},\"worker_handoffs\":{},\"slow_client_yields\":{},\"epoll_wait_nanos\":{},\"epoll_waits\":{},\"outbuf_highwater_bytes\":{},\"socket_writes\":{}}},\
              \"tracing\":{{\"traces_sampled\":{},\"slow_requests\":{}}},\
              \"handler_panics\":{},\
+             \"interner_symbols\":{},\
              \"uptime_seconds\":{},\
              \"started_at\":{},\
              \"transducers\":{},\
@@ -533,9 +548,11 @@ impl ServerStats {
             self.epoll_wait_nanos.get(),
             self.epoll_waits.get(),
             self.outbuf_highwater.get(),
+            self.socket_writes.get(),
             self.traces_sampled.get(),
             self.slow_requests.get(),
             self.handler_panics.get(),
+            self.ext_interner_symbols.get(),
             self.uptime_seconds(),
             self.started_unix,
             transducers,

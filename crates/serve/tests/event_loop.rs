@@ -133,18 +133,27 @@ fn slow_stream_reader_yields_its_worker_and_resumes_correctly() {
         .put_transducer("copy", &examples::monadic_to_binary().dtop.to_string())
         .unwrap();
 
-    // 32 documents of ~3KB output each: far past the 16KB buffer in
-    // total, but each small enough to end at a document boundary.
+    // 128 documents of ~3KB output each: far past what the buffer and
+    // the narrow connection below can absorb together, but each small
+    // enough to end at a document boundary.
     let mut deep = String::from("e");
     for _ in 0..9 {
         deep = format!("f({deep})");
     }
-    let docs: Vec<&str> = std::iter::repeat(deep.as_str()).take(32).collect();
+    let docs: Vec<&str> = std::iter::repeat(deep.as_str()).take(128).collect();
     let (batch_resp, expected) = client.transform("copy", "", &docs).unwrap();
     assert_eq!(batch_resp.status, 200);
 
     let body = format!("{}\n", docs.join("\n"));
-    let mut raw = std::net::TcpStream::connect(client.addr()).unwrap();
+    // A deliberately narrow reader: a ~1KB receive buffer and a 536-byte
+    // segment size, fixed before the handshake, keep the server's socket
+    // from absorbing more than a few tens of KB while we stall. The
+    // response (~384KB) therefore backs up the 16KB output buffer however
+    // large the host's default loopback buffers are.
+    let std::net::SocketAddr::V4(addr) = client.addr() else {
+        panic!("the test server binds IPv4 loopback")
+    };
+    let mut raw = xtt_netio::connect_narrow(addr, 1024, 536).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
     let head = format!(
         "POST /transform/copy?mode=stream HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -183,6 +192,46 @@ fn slow_stream_reader_yields_its_worker_and_resumes_correctly() {
 
     let json = client.stats().unwrap().body_str();
     assert_eq!(stat_u64(&json, "write_timeouts"), 0, "{json}");
+
+    client.shutdown().unwrap();
+    runner.join().unwrap().unwrap();
+}
+
+/// Every flush point publishes one buffer, and the socket has no Nagle
+/// hold: a small keep-alive response leaves in exactly one write
+/// syscall. Counting writes pins the coalescing as an exact figure
+/// rather than a timing. (`mode=stream` responses publish at every
+/// document end as well, so they are not counted here.)
+#[test]
+fn small_keep_alive_responses_leave_in_one_write_each() {
+    const REQUESTS: u64 = 100;
+    let (client, runner, _handle) = boot(ServeOptions {
+        workers: 2,
+        ..ServeOptions::default()
+    });
+    client
+        .put_transducer("flip", &examples::flip().dtop.to_string())
+        .unwrap();
+    let mut session = client.session().unwrap();
+    // The count a `/stats` body shows excludes that response's own write.
+    let socket_writes = |session: &mut xtt_serve::ServeSession| {
+        let json = session.request("GET", "/stats", "").unwrap().body_str();
+        stat_u64(&json, "socket_writes")
+    };
+    let before = socket_writes(&mut session);
+    for i in 0..REQUESTS {
+        let doc = examples::flip_input(1 + i as usize % 3, 1 + i as usize % 2).to_string();
+        let resp = session
+            .request("POST", "/transform/flip", &format!("{doc}\n"))
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+    }
+    let after = socket_writes(&mut session);
+    assert_eq!(
+        after - before,
+        REQUESTS + 1,
+        "one write per response (the transforms plus the first /stats)"
+    );
 
     client.shutdown().unwrap();
     runner.join().unwrap().unwrap();

@@ -231,6 +231,78 @@ fn all_modes_agree_over_the_wire() {
     runner.join().unwrap().unwrap();
 }
 
+/// Out-of-vocabulary names never enter the interner in either format:
+/// term and XML bodies both map them to the same sentinel, and a guarded
+/// diagnostic names the token as written. The same garbage document
+/// therefore draws the same `!error` line under `format=term` and
+/// `format=xml`, compiled or streamed, guarded or not. (Every name here
+/// is fresh to this process — the server shares it with the test.)
+#[test]
+fn out_of_vocabulary_errors_agree_across_formats() {
+    let (client, runner, _handle) = boot(small_opts());
+    client
+        .put_transducer("flip", &examples::flip().dtop.to_string())
+        .unwrap();
+    // (term, ranked XML) renderings of one document each.
+    let pairs = [
+        (
+            "root(a(#,zqdiff1(#,#)),b(#,#))",
+            "<root><a># <zqdiff1># #</zqdiff1></a><b># #</b></root>",
+        ),
+        ("zqdiff2(#,#)", "<zqdiff2># #</zqdiff2>"),
+        (
+            "root(a(#,#),b(#,zqdiff3))",
+            "<root><a># #</a><b># zqdiff3</b></root>",
+        ),
+        // Inside a subtree flip deletes: accepted by both.
+        (
+            "root(a(zqdiff4,#),b(#,#))",
+            "<root><a>zqdiff4 #</a><b># #</b></root>",
+        ),
+        ("root(a(#,#),b(#,#))", "<root><a># #</a><b># #</b></root>"),
+    ];
+    let term: Vec<&str> = pairs.iter().map(|p| p.0).collect();
+    let xml: Vec<&str> = pairs.iter().map(|p| p.1).collect();
+    for mode in ["compiled", "stream"] {
+        for validate in ["0", "1"] {
+            let query = |format: &str| format!("?mode={mode}&validate={validate}&format={format}");
+            let (_, term_lines) = client.transform("flip", &query("term"), &term).unwrap();
+            let (_, xml_lines) = client.transform("flip", &query("xml"), &xml).unwrap();
+            assert_eq!(term_lines.len(), pairs.len());
+            assert_eq!(xml_lines.len(), pairs.len());
+            for (i, (t, x)) in term_lines.iter().zip(&xml_lines).enumerate() {
+                let ctx = format!("mode={mode} validate={validate} doc {i}");
+                assert_eq!(t.starts_with("!error"), i < 3, "{ctx}: {t}");
+                if i < 3 {
+                    assert_eq!(t, x, "{ctx}");
+                } else {
+                    assert!(!x.starts_with("!error"), "{ctx}: {x}");
+                }
+            }
+            if validate == "1" {
+                assert_eq!(
+                    term_lines[0],
+                    "!error: type error at 1.2: symbol zqdiff1 not allowed in state {q4}"
+                );
+                assert_eq!(
+                    term_lines[2],
+                    "!error: type error at 2.2: symbol zqdiff3 not allowed in state {q3}"
+                );
+            } else {
+                assert_eq!(
+                    term_lines[0],
+                    "!error: input outside the transduction domain"
+                );
+            }
+        }
+    }
+    for name in ["zqdiff1", "zqdiff2", "zqdiff3", "zqdiff4"] {
+        assert_eq!(xtt_trees::Symbol::lookup(name), None, "{name} was interned");
+    }
+    client.shutdown().unwrap();
+    runner.join().unwrap().unwrap();
+}
+
 #[test]
 fn xml_format_and_learning_over_the_wire() {
     use xtt_core::characteristic_sample;

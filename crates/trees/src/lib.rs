@@ -35,8 +35,8 @@ pub mod tree;
 pub use alphabet::RankedAlphabet;
 pub use dag::{DagId, DagStats, TreeDag};
 pub use events::{tree_from_events, EventError, TreeEvent};
-pub use parse::{parse_tree, parse_trees, ParseError};
+pub use parse::{name_at, parse_tree, parse_tree_bounded, parse_trees, ParseError};
 pub use path::{FPath, NPath, NodePath, PathOrder, Step};
 pub use prefix::{PLabel, PTree};
-pub use symbol::Symbol;
+pub use symbol::{Symbol, TermName};
 pub use tree::Tree;

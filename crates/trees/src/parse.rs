@@ -4,9 +4,16 @@
 //! names containing structural characters (parentheses, commas, quotes,
 //! whitespace) — which occur in DTD-encoded alphabets like `"(a*,b*)"` — are
 //! written and read as double-quoted strings with `\"` and `\\` escapes.
+//!
+//! [`parse_tree`] interns every name it reads — right for transducer
+//! rules, samples and schemas. Untrusted documents go through
+//! [`parse_tree_bounded`], which only looks names up and so can never
+//! grow the process-global interner.
 
+use std::borrow::Cow;
 use std::fmt;
 
+use crate::path::NodePath;
 use crate::symbol::Symbol;
 use crate::tree::Tree;
 
@@ -28,6 +35,9 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// `None` interns every name; `Some(sentinel)` resolves names with
+    /// [`Symbol::lookup`] and maps the never-interned ones to `sentinel`.
+    unknown: Option<Symbol>,
 }
 
 impl<'a> Parser<'a> {
@@ -35,6 +45,14 @@ impl<'a> Parser<'a> {
         Parser {
             input: input.as_bytes(),
             pos: 0,
+            unknown: None,
+        }
+    }
+
+    fn symbol(&self, name: &str) -> Symbol {
+        match self.unknown {
+            None => Symbol::new(name),
+            Some(sentinel) => Symbol::lookup(name).unwrap_or(sentinel),
         }
     }
 
@@ -62,22 +80,28 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_symbol(&mut self) -> Result<Symbol, ParseError> {
+        let name = self.parse_name()?;
+        Ok(self.symbol(&name))
+    }
+
+    /// The next name as written (unescaped, not resolved).
+    fn parse_name(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'"') => self.parse_quoted(),
-            Some(c) if !is_structural(c) => self.parse_bare(),
+            Some(b'"') => self.parse_quoted().map(Cow::Owned),
+            Some(c) if !is_structural(c) => self.parse_bare().map(Cow::Borrowed),
             Some(c) => Err(self.error(format!("expected symbol, found {:?}", c as char))),
             None => Err(self.error("expected symbol, found end of input")),
         }
     }
 
-    fn parse_quoted(&mut self) -> Result<Symbol, ParseError> {
+    fn parse_quoted(&mut self) -> Result<String, ParseError> {
         debug_assert_eq!(self.peek(), Some(b'"'));
         self.bump();
         let mut name = String::new();
         loop {
             match self.bump() {
-                Some(b'"') => return Ok(Symbol::new(&name)),
+                Some(b'"') => return Ok(name),
                 Some(b'\\') => match self.bump() {
                     Some(c @ (b'"' | b'\\')) => name.push(c as char),
                     Some(c) => {
@@ -91,7 +115,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_bare(&mut self) -> Result<Symbol, ParseError> {
+    fn parse_bare(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if is_structural(c) || c.is_ascii_whitespace() {
@@ -99,9 +123,33 @@ impl<'a> Parser<'a> {
             }
             self.pos += 1;
         }
-        let name = std::str::from_utf8(&self.input[start..self.pos])
-            .map_err(|_| self.error("symbol is not valid UTF-8"))?;
-        Ok(Symbol::new(name))
+        let input: &'a [u8] = self.input;
+        std::str::from_utf8(&input[start..self.pos])
+            .map_err(|_| self.error("symbol is not valid UTF-8"))
+    }
+
+    /// Reads past one whole subtree without resolving any name.
+    fn skip_tree(&mut self) -> Result<(), ParseError> {
+        self.parse_name()?;
+        self.skip_ws();
+        if self.peek() != Some(b'(') {
+            return Ok(());
+        }
+        self.bump();
+        self.skip_ws();
+        if self.peek() == Some(b')') {
+            self.bump();
+            return Ok(());
+        }
+        loop {
+            self.skip_tree()?;
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b')') => return Ok(()),
+                _ => return Err(self.error("expected ',' or ')'")),
+            }
+        }
     }
 
     fn parse_tree(&mut self) -> Result<Tree, ParseError> {
@@ -131,6 +179,16 @@ impl<'a> Parser<'a> {
         }
         Ok(Tree::new(symbol, children))
     }
+
+    /// One tree spanning the whole input (surrounding whitespace aside).
+    fn parse_whole(&mut self) -> Result<Tree, ParseError> {
+        let tree = self.parse_tree()?;
+        self.skip_ws();
+        if self.pos != self.input.len() {
+            return Err(self.error("trailing input after tree"));
+        }
+        Ok(tree)
+    }
 }
 
 fn is_structural(c: u8) -> bool {
@@ -139,13 +197,43 @@ fn is_structural(c: u8) -> bool {
 
 /// Parses a tree in term syntax. The whole input must be consumed.
 pub fn parse_tree(input: &str) -> Result<Tree, ParseError> {
+    Parser::new(input).parse_whole()
+}
+
+/// Like [`parse_tree`], but never interns: every name resolves through
+/// [`Symbol::lookup`], and names never interned before map to `unknown`
+/// (a sentinel no alphabet declares, so such nodes match no rule). This
+/// is the entry point for untrusted documents in a long-running process,
+/// whose memory must not grow with the input vocabulary.
+pub fn parse_tree_bounded(input: &str, unknown: Symbol) -> Result<Tree, ParseError> {
     let mut parser = Parser::new(input);
-    let tree = parser.parse_tree()?;
-    parser.skip_ws();
-    if parser.pos != parser.input.len() {
-        return Err(parser.error("trailing input after tree"));
+    parser.unknown = Some(unknown);
+    parser.parse_whole()
+}
+
+/// The name written at `path` in a term-syntax document, read without
+/// interning anything — how a diagnostic about an out-of-vocabulary node
+/// (one [`parse_tree_bounded`] mapped to its sentinel) recovers the
+/// token as written. `None` if the path does not exist or the input is
+/// malformed before reaching it.
+pub fn name_at(input: &str, path: &NodePath) -> Option<String> {
+    let mut parser = Parser::new(input);
+    let mut name = parser.parse_name().ok()?;
+    for &child in path.indices() {
+        parser.skip_ws();
+        if parser.bump() != Some(b'(') {
+            return None;
+        }
+        for _ in 0..child {
+            parser.skip_tree().ok()?;
+            parser.skip_ws();
+            if parser.bump() != Some(b',') {
+                return None;
+            }
+        }
+        name = parser.parse_name().ok()?;
     }
-    Ok(tree)
+    Some(name.into_owned())
 }
 
 /// Parses several trees separated by whitespace or semicolons.
@@ -226,6 +314,43 @@ mod tests {
         assert_eq!(ts.len(), 3);
         assert_eq!(ts[1].to_string(), "b(c)");
         assert!(parse_trees("   ").unwrap().is_empty());
+    }
+
+    #[test]
+    fn bounded_parse_never_interns() {
+        let sentinel = Symbol::new("bounded-parse-sentinel");
+        let known = Symbol::new("bounded-known");
+        let t = parse_tree_bounded(
+            r#"bounded-known(never-seen-bare-qzx,"never seen quoted qzx")"#,
+            sentinel,
+        )
+        .unwrap();
+        assert_eq!(t.symbol(), known);
+        assert_eq!(t.child(0).unwrap().symbol(), sentinel);
+        assert_eq!(t.child(1).unwrap().symbol(), sentinel);
+        assert_eq!(Symbol::lookup("never-seen-bare-qzx"), None);
+        assert_eq!(Symbol::lookup("never seen quoted qzx"), None);
+        // Same grammar, same errors as the interning parser.
+        for bad in ["", "f(a", "f(a,)", "f(a) trailing"] {
+            assert_eq!(
+                parse_tree_bounded(bad, sentinel).unwrap_err(),
+                parse_tree(bad).unwrap_err()
+            );
+        }
+    }
+
+    #[test]
+    fn name_at_reads_the_token_at_a_path() {
+        let doc = r#"root(a(#,"odd name"(x,y)),b(f(#),#))"#;
+        let at = |indices: &[u32]| name_at(doc, &NodePath::from_indices(indices));
+        assert_eq!(at(&[]).as_deref(), Some("root"));
+        assert_eq!(at(&[0, 1]).as_deref(), Some("odd name"));
+        assert_eq!(at(&[0, 1, 1]).as_deref(), Some("y"));
+        assert_eq!(at(&[1, 0, 0]).as_deref(), Some("#"));
+        assert_eq!(at(&[1, 1]).as_deref(), Some("#"));
+        assert_eq!(at(&[2]), None, "root has two children");
+        assert_eq!(at(&[1, 1, 0]), None, "a leaf has none");
+        assert_eq!(Symbol::lookup("odd name"), None, "nothing interned");
     }
 
     #[test]

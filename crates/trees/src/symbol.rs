@@ -77,6 +77,14 @@ impl Symbol {
             .map(Symbol)
     }
 
+    /// How many distinct symbols the process has interned so far — the
+    /// interner only grows, so this is the figure to watch when untrusted
+    /// input must not be able to add symbols.
+    pub fn interned_count() -> usize {
+        let guard = INTERNER.read().unwrap_or_else(|e| e.into_inner());
+        guard.as_ref().map_or(0, |i| i.names.len())
+    }
+
     /// The symbol's name. O(1), no allocation.
     pub fn name(self) -> &'static str {
         let guard = INTERNER.read().unwrap_or_else(|e| e.into_inner());
@@ -93,10 +101,28 @@ impl Symbol {
     /// True if the name needs quoting in term syntax (contains characters
     /// that the term grammar treats as structure).
     pub fn needs_quoting(self) -> bool {
-        let n = self.name();
-        n.is_empty()
-            || n.chars()
-                .any(|c| c.is_whitespace() || matches!(c, '(' | ')' | ',' | '"' | '<' | '>'))
+        name_needs_quoting(self.name())
+    }
+}
+
+fn name_needs_quoting(n: &str) -> bool {
+    n.is_empty()
+        || n.chars()
+            .any(|c| c.is_whitespace() || matches!(c, '(' | ')' | ',' | '"' | '<' | '>'))
+}
+
+/// Displays a name exactly as a [`Symbol`] of that name would display
+/// (quoted when it needs quoting) without interning it — for
+/// diagnostics about names that must not enter the interner.
+pub struct TermName<'a>(pub &'a str);
+
+impl fmt::Display for TermName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if name_needs_quoting(self.0) {
+            write!(f, "{:?}", self.0)
+        } else {
+            f.write_str(self.0)
+        }
     }
 }
 
@@ -108,11 +134,7 @@ impl fmt::Debug for Symbol {
 
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.needs_quoting() {
-            write!(f, "{:?}", self.name())
-        } else {
-            f.write_str(self.name())
-        }
+        TermName(self.name()).fmt(f)
     }
 }
 
@@ -165,6 +187,12 @@ mod tests {
     }
 
     #[test]
+    fn interned_count_covers_every_symbol() {
+        let s = Symbol::new("interned-count-probe");
+        assert!(Symbol::interned_count() > s.id() as usize);
+    }
+
+    #[test]
     fn display_quotes_structured_names() {
         let plain = Symbol::new("root");
         let fancy = Symbol::new("(a*,b*)");
@@ -172,6 +200,8 @@ mod tests {
         assert_eq!(fancy.to_string(), "\"(a*,b*)\"");
         assert!(fancy.needs_quoting());
         assert!(!plain.needs_quoting());
+        assert_eq!(TermName("(a*,b*)").to_string(), fancy.to_string());
+        assert_eq!(TermName("root").to_string(), "root");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::fmt;
 
 use xtt_automata::{Dtta, StateId};
-use xtt_trees::{NodePath, RankedAlphabet, Symbol, Tree};
+use xtt_trees::{NodePath, RankedAlphabet, Symbol, TermName, Tree};
 
 use xtt_transducer::{domain_dtta_raw, Dtop, RawDomain};
 
@@ -45,6 +45,11 @@ pub enum TypeError {
         state: String,
         /// The offending input symbol.
         symbol: Symbol,
+        /// The node's name as written in the document, when it lies
+        /// outside every alphabet: bounded readers never intern such
+        /// names, so `symbol` is then their out-of-vocabulary sentinel
+        /// and the diagnostic shows this token instead.
+        token: Option<Box<str>>,
     },
     /// A child required by the guard state is absent (the node has fewer
     /// children than the transducer's rules reference).
@@ -74,8 +79,14 @@ impl fmt::Display for TypeError {
                 path,
                 state,
                 symbol,
+                token,
             } => {
-                write!(f, "at {path}: symbol {symbol} not allowed in state {state}")
+                write!(f, "at {path}: symbol ")?;
+                match token {
+                    Some(token) => write!(f, "{}", TermName(token))?,
+                    None => write!(f, "{symbol}")?,
+                }
+                write!(f, " not allowed in state {state}")
             }
             TypeError::MissingChild {
                 path,
@@ -351,6 +362,7 @@ mod tests {
                 path,
                 state,
                 symbol,
+                ..
             } => {
                 assert_eq!(path.to_string(), "1.2");
                 assert_eq!(state, "{q4}");

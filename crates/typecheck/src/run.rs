@@ -147,6 +147,7 @@ impl<'a> DttaRun<'a> {
                 path: NodePath::from_indices(&self.path),
                 state: self.c.state_name(state).to_owned(),
                 symbol: sym,
+                token: None,
             }),
         }
     }
